@@ -18,7 +18,6 @@ from conftest import HOURS, save_artifact
 SEEDS = 4
 JOB_COUNTS = (1, 2, 4)
 CONFIG = ExperimentConfig(duration=8 * HOURS, seed=20_04)
-SPEC = CONFIG.spec()
 
 
 def test_sweep_scaling():
@@ -33,7 +32,7 @@ def test_sweep_scaling():
 
     speedups = {jobs: walls[1] / walls[jobs] for jobs in JOB_COUNTS}
     lines = [
-        f"Sweep scaling: {SEEDS} seeds x {SPEC.duration:.0f} s simulated "
+        f"Sweep scaling: {SEEDS} seeds x {CONFIG.duration:.0f} s simulated "
         f"each, on {cpus} CPU(s).",
     ]
     for jobs in JOB_COUNTS:

@@ -103,8 +103,8 @@ DEFAULT_CONTRACTS: Tuple[ContractSpec, ...] = (
     ),
     ContractSpec(
         name="campaign-spec",
-        producer="repro.parallel.worker.spec_to_payload",
-        consumer="repro.parallel.worker.spec_from_payload",
+        producer="repro.core.campaign.ExperimentConfig.to_payload",
+        consumer="repro.core.campaign.ExperimentConfig.from_payload",
     ),
     ContractSpec(
         name="worker-task",

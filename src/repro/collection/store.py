@@ -39,17 +39,10 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Protocol,
     Union,
+    runtime_checkable,
 )
-
-try:  # pragma: no cover - py3.9 fallback exercised only on old interpreters
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[no-redef]
-        return cls
-
 
 from .records import RecoveryAttempt, SystemLogRecord, TestLogRecord
 
@@ -384,7 +377,12 @@ class SQLiteStore:
         _check_meta(meta)
 
     def flush(self) -> None:
-        """Commit pending appends and fsync the database file."""
+        """Commit pending appends durably.
+
+        The store sets no ``synchronous`` pragma, so durability rests on
+        SQLite's default ``synchronous=FULL``: the commit syncs the
+        journal and the database file before it returns.
+        """
         self._conn.commit()
 
     def close(self) -> None:

@@ -10,9 +10,10 @@ thousands of failure data items in seconds of CPU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Iterator,
@@ -20,11 +21,14 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Type,
+    TypeVar,
+    Union,
 )
 
 import contextlib
+import functools
 import gc
-import warnings
 from pathlib import Path
 
 from repro.collection.records import TestLogRecord
@@ -32,7 +36,14 @@ from repro.collection.repository import CentralRepository
 from repro.obs import Observability
 from repro.recovery.masking import MaskingPolicy
 from repro.sim import RandomStreams, Simulator
-from repro.testbed.nodes import ALL_PROFILES, GIALLO, NodeProfile, VERDE, WIN
+from repro.testbed.nodes import (
+    ALL_PROFILES,
+    GIALLO,
+    NodeProfile,
+    VERDE,
+    WIN,
+    profile_by_name,
+)
 from repro.testbed.testbed import Testbed
 from repro.workload.bluetest import CycleStats
 from repro.workload.traffic import (
@@ -43,6 +54,10 @@ from repro.workload.traffic import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import InjectorTuning
+    from repro.obs.journal import SweepTelemetry
+    from repro.parallel.backends import SweepBackend
+    from repro.parallel.shard import ShardResult
+    from repro.parallel.sweep import SweepResult
 
 DAY = 86_400.0
 #: Default campaign length used by examples and benchmarks.
@@ -69,22 +84,53 @@ def _gc_paused() -> Iterator[None]:
         gc.enable()
 
 
-@dataclass(frozen=True)
-class CampaignSpec:
-    """Everything one campaign replicate needs, as plain immutable data.
+#: Valid :attr:`ExperimentConfig.fidelity` values.
+FIDELITIES = ("bit", "batch")
 
-    The spec is the unit shipped across process boundaries by the
-    :mod:`repro.parallel` sweep pool (every field pickles without
-    dragging a live simulator along) and the unit fingerprinted by
-    sweep checkpoints, so two invocations agree on whether a completed
-    shard can be reused.
+_ConfigT = TypeVar("_ConfigT")
+
+
+def _keyword_only(cls: Type[_ConfigT]) -> Type[_ConfigT]:
+    """Make a dataclass constructor keyword-only (``kw_only=`` needs 3.10).
+
+    Campaign call sites historically mixed positional ``duration``/``seed``
+    orders; a keyword-only constructor makes that impossible.
+    """
+    init = cls.__init__
+
+    @functools.wraps(init)
+    def __init__(self: _ConfigT, **kwargs: Any) -> None:
+        init(self, **kwargs)
+
+    setattr(cls, "__init__", __init__)
+    return cls
+
+
+@_keyword_only
+@dataclass(frozen=True, repr=False)
+class ExperimentConfig:
+    """Keyword-only, immutable description of one campaign experiment.
+
+    The one campaign-config type: :mod:`repro.api` builds it, the sweep
+    pool ships it across process boundaries (every field pickles without
+    dragging a live simulator along), the standalone worker receives it
+    as JSON (:meth:`to_payload`/:meth:`from_payload`), and sweep
+    checkpoints and the shard cache fingerprint it
+    (:meth:`fingerprint_data`).  Derive variants with
+    :func:`dataclasses.replace`.
     """
 
+    #: Simulated seconds each replicate runs for.
     duration: float = DEFAULT_DURATION
+    #: Root seed (sweeps derive per-shard seeds from it).
     seed: int = 0
+    #: The three §5 masking strategies (all off by default; None = off).
     masking: MaskingPolicy = MaskingPolicy.all_off()
+    #: Which testbeds to deploy ("random" and/or "realistic").
     workloads: Tuple[str, ...] = ("random", "realistic")
+    #: Node hardware/OS profiles to instantiate per testbed.
     profiles: Tuple[NodeProfile, ...] = ALL_PROFILES
+    #: Replace Bluetooth dongles at the campaign midpoint (§3).
     hardware_replacement: bool = True
     #: Execution mode: ``"bit"`` walks every Baseband payload through the
     #: event engine (the oracle); ``"batch"`` samples per-cycle outcomes
@@ -100,18 +146,108 @@ class CampaignSpec:
     #: so pooled count estimates stay unbiased.
     rare_boost: float = 1.0
 
-    def with_seed(self, seed: int) -> "CampaignSpec":
-        """This spec re-rooted on another seed (all else equal)."""
-        return replace(self, seed=int(seed))
-
-    def with_boost(self, rare_boost: float) -> "CampaignSpec":
-        """This spec with the importance-sampling boost replaced."""
-        if rare_boost < 1.0:
+    def __post_init__(self) -> None:
+        if self.duration <= 0:
+            raise ValueError("experiment duration must be positive")
+        if self.fidelity not in FIDELITIES:
+            raise ValueError(
+                f"unknown fidelity: {self.fidelity!r} (expected 'bit' or 'batch')"
+            )
+        if self.rare_boost < 1.0:
             raise ValueError("rare_boost must be >= 1")
-        return replace(self, rare_boost=float(rare_boost))
+        normalised = {
+            "duration": float(self.duration),
+            "seed": int(self.seed),
+            "masking": MaskingPolicy.all_off() if self.masking is None else self.masking,
+            "workloads": tuple(self.workloads),
+            "profiles": tuple(self.profiles),
+            "hardware_replacement": bool(self.hardware_replacement),
+            "rare_boost": float(self.rare_boost),
+        }
+        for name, value in normalised.items():
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        # Profiles by name: their full dataclass reprs would drown the rest.
+        shown = {f.name: getattr(self, f.name) for f in fields(self)}
+        shown["profiles"] = tuple(p.name for p in self.profiles)
+        body = ", ".join(f"{name}={value!r}" for name, value in shown.items())
+        return f"ExperimentConfig({body})"
+
+    # -- wire format -----------------------------------------------------------
+
+    def to_payload(self) -> Dict[str, object]:
+        """This config as plain JSON-able data (the worker wire format).
+
+        Node profiles travel by *name* and are resolved against the
+        receiving interpreter's registry by :meth:`from_payload`.
+        """
+        return {
+            "duration": self.duration,
+            "seed": self.seed,
+            "masking": {
+                "bind_wait": self.masking.bind_wait,
+                "retry": self.masking.retry,
+                "sdp_before_pan": self.masking.sdp_before_pan,
+            },
+            "workloads": list(self.workloads),
+            "profiles": [profile.name for profile in self.profiles],
+            "hardware_replacement": self.hardware_replacement,
+            "fidelity": self.fidelity,
+            "rare_boost": self.rare_boost,
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, object]) -> "ExperimentConfig":
+        """Rebuild a config from :meth:`to_payload` data.
+
+        Raises ``KeyError`` for a profile name the receiving interpreter
+        does not know — the clear failure mode for a version-skewed remote.
+        """
+        masking = payload.get("masking", {})
+        if not isinstance(masking, dict):
+            raise ValueError("config payload field 'masking' must be an object")
+        return cls(
+            duration=float(payload["duration"]),  # type: ignore[arg-type]
+            seed=int(payload["seed"]),  # type: ignore[call-overload]
+            masking=MaskingPolicy(
+                bind_wait=bool(masking.get("bind_wait", False)),
+                retry=bool(masking.get("retry", False)),
+                sdp_before_pan=bool(masking.get("sdp_before_pan", False)),
+            ),
+            workloads=tuple(str(w) for w in payload["workloads"]),  # type: ignore[union-attr]
+            profiles=tuple(
+                profile_by_name(str(name))
+                for name in payload["profiles"]  # type: ignore[union-attr]
+            ),
+            hardware_replacement=bool(payload.get("hardware_replacement", True)),
+            fidelity=str(payload.get("fidelity", "bit")),
+            rare_boost=float(payload.get("rare_boost", 1.0)),  # type: ignore[arg-type]
+        )
+
+    def fingerprint_data(self) -> Dict[str, object]:
+        """Seed-independent identity of the run: :meth:`to_payload` minus the seed.
+
+        Sweep checkpoints and the shard cache hash this (together with
+        the seed list) to decide whether shard files on disk belong to
+        the sweep being resumed.  ``fidelity`` and ``rare_boost`` enter
+        only at non-default values, so fingerprints written before those
+        fields existed stay valid — while a batch or boosted (tilted)
+        run never shares a fingerprint, or a cache key, with a nominal
+        bit run.
+        """
+        data = self.to_payload()
+        del data["seed"]
+        if self.fidelity == "bit":
+            del data["fidelity"]
+        if self.rare_boost == 1.0:
+            del data["rare_boost"]
+        return data
+
+    # -- execution -------------------------------------------------------------
 
     def injector_tuning(self) -> Optional["InjectorTuning"]:
-        """The fault-injector tuning this spec implies (None = default)."""
+        """The fault-injector tuning this config implies (None = default)."""
         if self.rare_boost == 1.0:
             return None
         from repro.faults.calibration import rare_failure_types
@@ -122,19 +258,12 @@ class CampaignSpec:
         )
 
     def run(self, observability: Optional[Observability] = None) -> "CampaignResult":
-        """Execute the campaign this spec describes.
+        """Execute one replicate of this experiment.
 
-        .. deprecated:: 1.1
-           Use :class:`repro.api.ExperimentConfig` (or
-           :func:`repro.api.run`) instead; this shim forwards to the
-           same executor and will be removed in 2.0.
+        Pass an :class:`~repro.obs.Observability` bundle to instrument
+        the run (metrics, propagation tracing, engine profiling); it is
+        activated around the whole campaign and returned on the result.
         """
-        warnings.warn(
-            "CampaignSpec.run() is deprecated; use repro.api.ExperimentConfig"
-            "(...).run() (or repro.api.run(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
         return self._execute(observability=observability)
 
     def _execute(
@@ -143,7 +272,7 @@ class CampaignSpec:
         on_progress: Optional[Callable[[Simulator], None]] = None,
         progress_interval: Optional[float] = None,
     ) -> "CampaignResult":
-        """Execute this spec (internal, warning-free entry point)."""
+        """Run on the executor this config's fidelity selects."""
         if self.fidelity == "batch":
             # Lazy import: the bit engine stays importable without numpy.
             from repro.sim.batch import execute_batch_campaign
@@ -154,53 +283,83 @@ class CampaignSpec:
                 on_progress=on_progress,
                 progress_interval=progress_interval,
             )
-        if self.fidelity != "bit":
-            raise ValueError(
-                f"unknown fidelity: {self.fidelity!r} (expected 'bit' or 'batch')"
-            )
         return _execute_campaign(
-            duration=self.duration,
-            seed=self.seed,
-            masking=self.masking,
-            workloads=self.workloads,
-            profiles=self.profiles,
-            hardware_replacement=self.hardware_replacement,
+            self,
             observability=observability,
             on_progress=on_progress,
             progress_interval=progress_interval,
-            tuning=self.injector_tuning(),
         )
 
-    def fingerprint_data(self) -> Dict[str, object]:
-        """Seed-independent identity of the run, as JSON-able data.
+    def sweep(
+        self,
+        seeds: Union[int, Sequence[int]],
+        *,
+        jobs: int = 1,
+        checkpoint_dir: Optional[Union[str, Path]] = None,
+        with_metrics: bool = False,
+        progress: Optional[Callable[["ShardResult", bool], None]] = None,
+        telemetry: Optional["SweepTelemetry"] = None,
+        backend: Union[None, str, "SweepBackend"] = None,
+        cache_dir: Optional[Union[str, Path]] = None,
+        rare_boost: float = 1.0,
+        boost_seeds: int = 0,
+        target_ci: Optional[float] = None,
+        max_seeds: int = 64,
+        store: Union[None, str, Path] = None,
+    ) -> "SweepResult":
+        """Replicate this experiment across seeds and merge canonically.
 
-        Sweep checkpoints hash this (together with the seed list) to
-        decide whether shard files on disk belong to the sweep being
-        resumed.  The seed is deliberately excluded: it varies per
-        shard within one sweep.
+        ``seeds`` is a count (shard seeds derive from :attr:`seed`) or
+        an explicit seed sequence.  ``jobs`` caps backend concurrency;
+        ``backend`` picks where shards run (``None`` = the local process
+        pool, ``"serial"``, ``"process"``, ``"subprocess"``,
+        ``"ssh:host1,host2"`` or a
+        :class:`~repro.parallel.backends.SweepBackend`; every backend
+        produces byte-identical results).  ``checkpoint_dir`` makes the
+        sweep resumable; ``cache_dir`` layers the content-addressed
+        shard cache on top, so repeated or overlapping sweeps reuse
+        completed shards byte-identically.  ``progress`` is called with
+        ``(shard, reused)`` as shards complete.  ``telemetry`` (a
+        :class:`~repro.obs.journal.SweepTelemetry`) turns on the run
+        journal, live monitoring and the stall watchdog — see
+        :mod:`repro.obs.campaign`.
+
+        ``rare_boost`` > 1 adds ``boost_seeds`` importance-sampled
+        replicates (default: the nominal stratum size) that tighten the
+        rare failure-class statistics without biasing them;
+        ``target_ci`` keeps growing the strata (up to ``max_seeds``)
+        until every pooled statistic's 95% CI is under that relative
+        width.  The merged tables are byte-identical with telemetry on
+        or off.  See :mod:`repro.parallel` for the determinism
+        guarantees.
+
+        ``store`` spills every nominal shard's records into the columnar
+        SQLite store at that path as the sweep completes — shard by
+        shard, in canonical seed order, so the merged record stream is
+        queryable and analysable out-of-core without ever materialising
+        in RAM.  Neither ``backend`` nor ``store`` can change a result
+        byte, so neither is part of the config or its fingerprint.
         """
-        data: Dict[str, object] = {
-            "duration": self.duration,
-            "masking": {
-                "bind_wait": self.masking.bind_wait,
-                "retry": self.masking.retry,
-                "sdp_before_pan": self.masking.sdp_before_pan,
-            },
-            "workloads": list(self.workloads),
-            "profiles": [p.name for p in self.profiles],
-            "hardware_replacement": self.hardware_replacement,
-        }
-        # Only non-default fidelity enters the fingerprint: bit-mode
-        # sweep checkpoints written before fidelity existed stay valid.
-        if self.fidelity != "bit":
-            data["fidelity"] = self.fidelity
-        # Same back-compat rule for the importance-sampling boost: a
-        # boosted spec computes a genuinely different (tilted) shard, so
-        # it must never share a fingerprint — or a cache key — with the
-        # nominal spec, while unboosted fingerprints stay unchanged.
-        if self.rare_boost != 1.0:
-            data["rare_boost"] = self.rare_boost
-        return data
+        from repro.parallel.sweep import _execute_sweep
+
+        # The hand-off to the orchestrator, whose wall-clock reads time
+        # shards and stamp journal envelopes but never feed sim time.
+        return _execute_sweep(  # repro: allow[DET010] orchestration wall time only
+            seeds,
+            jobs=jobs,
+            spec=self,
+            checkpoint_dir=checkpoint_dir,
+            with_metrics=with_metrics,
+            progress=progress,
+            telemetry=telemetry,
+            backend=backend,
+            cache=cache_dir,
+            rare_boost=rare_boost,
+            boost_seeds=boost_seeds,
+            target_ci=target_ci,
+            max_seeds=max_seeds,
+            store=store,
+        )
 
 
 @dataclass
@@ -221,7 +380,7 @@ class CampaignResult:
     #: e.g. results built by legacy paths).
     events_processed: int = 0
     #: Columnar store the run's records were spilled to when
-    #: ``ExperimentConfig(store=...)`` asked for one (None otherwise).
+    #: ``api.run(store=...)`` asked for one (None otherwise).
     store_path: Optional[Path] = None
 
     # -- convenience accessors -------------------------------------------------
@@ -268,53 +427,13 @@ class CampaignResult:
         return merged
 
 
-def run_campaign(
-    duration: float = DEFAULT_DURATION,
-    seed: int = 0,
-    masking: MaskingPolicy = MaskingPolicy.all_off(),
-    workloads: Sequence[str] = ("random", "realistic"),
-    profiles: Sequence[NodeProfile] = ALL_PROFILES,
-    hardware_replacement: bool = True,
-    observability: Optional[Observability] = None,
-) -> CampaignResult:
-    """Deploy and run the testbeds for ``duration`` simulated seconds.
-
-    .. deprecated:: 1.1
-       Use :func:`repro.api.run` (or
-       :meth:`repro.api.ExperimentConfig.run`) instead; this shim
-       forwards every argument to the same executor and will be removed
-       in 2.0.
-    """
-    warnings.warn(
-        "run_campaign() is deprecated; use repro.api.run(...) "
-        "(or repro.api.ExperimentConfig(...).run()) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _execute_campaign(
-        duration=duration,
-        seed=seed,
-        masking=masking,
-        workloads=workloads,
-        profiles=profiles,
-        hardware_replacement=hardware_replacement,
-        observability=observability,
-    )
-
-
 def _execute_campaign(
-    duration: float = DEFAULT_DURATION,
-    seed: int = 0,
-    masking: MaskingPolicy = MaskingPolicy.all_off(),
-    workloads: Sequence[str] = ("random", "realistic"),
-    profiles: Sequence[NodeProfile] = ALL_PROFILES,
-    hardware_replacement: bool = True,
+    config: ExperimentConfig,
     observability: Optional[Observability] = None,
     on_progress: Optional[Callable[[Simulator], None]] = None,
     progress_interval: Optional[float] = None,
-    tuning: Optional["InjectorTuning"] = None,
 ) -> CampaignResult:
-    """The campaign executor behind :mod:`repro.api` and the shims.
+    """The bit-fidelity campaign executor behind :meth:`ExperimentConfig.run`.
 
     Pass an :class:`~repro.obs.Observability` bundle to instrument the
     run: it is activated around testbed construction and execution (so
@@ -329,23 +448,23 @@ def _execute_campaign(
     ordinary event at the same instant — and must not schedule or mutate
     sim state, so arming it cannot perturb the campaign's event order.
     """
-    if duration <= 0:
-        raise ValueError("campaign duration must be positive")
+    duration = config.duration
     factories: Dict[str, Callable] = {
         "random": RandomWorkload,
         "realistic": RealisticWorkload,
     }
     sim = Simulator()
-    streams = RandomStreams(seed)
+    streams = RandomStreams(config.seed)
     repository = CentralRepository()
     testbeds: Dict[str, Testbed] = {}
+    tuning = config.injector_tuning()
     scope = (
         observability.activate(sim)
         if observability is not None
         else contextlib.nullcontext()
     )
     with scope:
-        for name in workloads:
+        for name in config.workloads:
             if name not in factories:
                 raise ValueError(f"unknown workload: {name!r}")
             bed = Testbed(
@@ -354,11 +473,11 @@ def _execute_campaign(
                 factories[name],
                 repository,
                 streams,
-                masking=masking,
-                profiles=profiles,
+                masking=config.masking,
+                profiles=config.profiles,
                 tuning=tuning,
             )
-            if hardware_replacement:
+            if config.hardware_replacement:
                 bed.schedule_hardware_replacement(duration / 2.0)
             bed.start()
             testbeds[name] = bed
@@ -382,8 +501,8 @@ def _execute_campaign(
             bed.final_collection()
     return CampaignResult(
         duration=duration,
-        seed=seed,
-        masking=masking,
+        seed=config.seed,
+        masking=config.masking,
         repository=repository,
         testbeds=testbeds,
         sim=sim,
@@ -429,8 +548,7 @@ def run_connection_length_experiment(
 
 __all__ = [
     "CampaignResult",
-    "CampaignSpec",
-    "run_campaign",
+    "ExperimentConfig",
     "run_connection_length_experiment",
     "DAY",
     "DEFAULT_DURATION",

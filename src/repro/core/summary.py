@@ -160,7 +160,7 @@ def importance_estimates(
 ) -> Dict[str, float]:
     """Reweighted Table 1-4 estimates from one *boosted* replicate.
 
-    A replicate run with ``CampaignSpec.rare_boost = boost`` activates
+    A replicate run with ``ExperimentConfig.rare_boost = boost`` activates
     every failure class in ``boosted_types`` ``boost`` times more often,
     so its raw tables over-count them by the same factor.  This is the
     estimator half of that importance-sampling scheme: each classified

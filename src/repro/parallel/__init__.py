@@ -67,7 +67,7 @@ from .stats import (
     pool_values,
     t_critical_95,
 )
-from .sweep import SweepResult, SweepStalledError, run_campaign_sweep
+from .sweep import SweepResult, SweepStalledError
 
 __all__ = [
     "CacheStats",
@@ -87,7 +87,6 @@ __all__ = [
     "pool_values",
     "resolve_backend",
     "resolve_seeds",
-    "run_campaign_sweep",
     "run_shard",
     "shard_seed",
     "shard_seeds",

@@ -44,7 +44,7 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -58,7 +58,7 @@ from typing import (
 )
 
 from repro import get_logger
-from repro.core.campaign import CampaignSpec
+from repro.core.campaign import ExperimentConfig
 from repro.obs.journal import (
     SHARD_COMPLETED,
     SHARD_FAILED,
@@ -70,7 +70,7 @@ from repro.obs.journal import (
 )
 
 from .shard import ShardResult
-from .worker import TASK_VERSION, spec_to_payload
+from .worker import TASK_VERSION
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from .sweep import _SweepTelemetryContext
@@ -97,7 +97,7 @@ class ShardPlan:
     context, or None when the sweep runs unjournaled.
     """
 
-    spec: CampaignSpec
+    spec: ExperimentConfig
     pending: Tuple[int, ...]
     with_metrics: bool
     jobs: int
@@ -130,7 +130,7 @@ class SerialBackend(SweepBackend):
                 ctx.writer.emit(SHARD_SCHEDULED, seed=seed, index=ctx.index[seed])
                 plan.complete(
                     plan.runner(
-                        plan.spec.with_seed(seed),
+                        replace(plan.spec, seed=seed),
                         plan.with_metrics,
                         telemetry=ctx.shard_telemetry(seed),
                     )
@@ -139,7 +139,7 @@ class SerialBackend(SweepBackend):
             else:
                 # Telemetry off: call with the historical two-argument
                 # shape so test doubles wrapping run_shard keep working.
-                plan.complete(plan.runner(plan.spec.with_seed(seed), plan.with_metrics))
+                plan.complete(plan.runner(replace(plan.spec, seed=seed), plan.with_metrics))
 
 
 class ProcessPoolBackend(SweepBackend):
@@ -163,7 +163,7 @@ class ProcessPoolBackend(SweepBackend):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(
-                    plan.runner, plan.spec.with_seed(seed), plan.with_metrics
+                    plan.runner, replace(plan.spec, seed=seed), plan.with_metrics
                 ): seed
                 for seed in plan.pending
             }
@@ -205,7 +205,7 @@ class ProcessPoolBackend(SweepBackend):
                 out[
                     target.submit(
                         plan.runner,
-                        spec.with_seed(seed),
+                        replace(spec, seed=seed),
                         with_metrics,
                         ctx.shard_telemetry(seed),
                     )
@@ -408,7 +408,7 @@ class SubprocessBackend(SweepBackend):
         task = json.dumps(
             {
                 "version": TASK_VERSION,
-                "spec": spec_to_payload(plan.spec.with_seed(seed)),
+                "spec": replace(plan.spec, seed=seed).to_payload(),
                 "with_metrics": plan.with_metrics,
             }
         )

@@ -5,7 +5,7 @@ is not acceptable.  The checkpoint directory holds one JSON file per
 completed shard plus a manifest describing the sweep that produced
 them.  Validity is decided per shard file against the sweep
 *fingerprint* — a hash of everything that changes a shard's outcome
-(campaign spec, metrics on/off, payload schema version) — so a resumed
+(campaign config, metrics on/off, payload schema version) — so a resumed
 sweep reuses exactly the shards that would be recomputed identically,
 and silently recomputes everything else.  Writes go through
 :func:`repro.parallel.cache.atomic_write_json` (per-process temp name,
@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence, Union
 
 from repro import get_logger
-from repro.core.campaign import CampaignSpec
+from repro.core.campaign import ExperimentConfig
 
 from .cache import atomic_write_json
 from .shard import PAYLOAD_VERSION, ShardResult
@@ -32,7 +32,7 @@ log = get_logger("parallel.checkpoint")
 MANIFEST_NAME = "sweep_manifest.json"
 
 
-def sweep_fingerprint(spec: CampaignSpec, with_metrics: bool) -> str:
+def sweep_fingerprint(spec: ExperimentConfig, with_metrics: bool) -> str:
     """Hex digest identifying what every shard of this sweep computes.
 
     The per-shard seed is excluded (it varies within one sweep and is

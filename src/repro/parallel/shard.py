@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.collection.repository import CentralRepository
-from repro.core.campaign import CampaignResult, CampaignSpec
+from repro.core.campaign import CampaignResult, ExperimentConfig
 from repro.core.summary import campaign_statistics, importance_estimates
 from repro.obs.journal import (
     SHARD_COMPLETED,
@@ -78,7 +78,7 @@ class ShardResult:
         cls,
         result: CampaignResult,
         wall_time: float = 0.0,
-        spec: Optional[CampaignSpec] = None,
+        spec: Optional[ExperimentConfig] = None,
     ) -> "ShardResult":
         """Summarize a finished campaign into shippable form.
 
@@ -234,10 +234,10 @@ class _Heartbeat:
 class _ProgressProbe:
     """Read-only sim probe emitting deterministic ``shard_progress``.
 
-    Called from :func:`repro.core.campaign._execute_campaign` at fixed
-    fractions of the campaign duration — sim-time driven, so the
-    deterministic fields (sim_time, frac, pending) are identical across
-    reruns at any job count.
+    Called from the campaign executor at fixed fractions of the
+    campaign duration — sim-time driven, so the deterministic fields
+    (sim_time, frac, pending) are identical across reruns at any job
+    count.
     """
 
     def __init__(
@@ -265,7 +265,7 @@ class _ProgressProbe:
 
 
 def _instrumented_shard(
-    spec: CampaignSpec,
+    spec: ExperimentConfig,
     observability: Optional["Observability"],
     telemetry: ShardTelemetry,
     started: float,
@@ -318,7 +318,7 @@ def _instrumented_shard(
 
 
 def run_shard(
-    spec: CampaignSpec,
+    spec: ExperimentConfig,
     with_metrics: bool = False,
     telemetry: Optional[ShardTelemetry] = None,
 ) -> ShardResult:
@@ -343,7 +343,7 @@ def run_shard(
     started = time.perf_counter()
     if telemetry is not None:
         return _instrumented_shard(spec, observability, telemetry, started)
-    result = spec._execute(observability=observability)
+    result = spec.run(observability=observability)
     return ShardResult.from_campaign(
         result, wall_time=time.perf_counter() - started, spec=spec
     )

@@ -31,15 +31,14 @@ Table 1-4 numbers.  This module is that harness:
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import get_logger
 from repro.collection.repository import CentralRepository
 from repro.collection.store import SQLiteStore
-from repro.core.campaign import CampaignSpec
+from repro.core.campaign import ExperimentConfig
 from repro.obs.campaign import SweepMonitor, SweepWatchdog, write_sweep_textfile
 from repro.obs.journal import (
     SHARD_CACHE_HIT,
@@ -83,7 +82,7 @@ _PER_SEED_HEADER = (
 class SweepResult:
     """Everything a multi-seed sweep produced, merged canonically."""
 
-    spec: CampaignSpec
+    spec: ExperimentConfig
     #: Seeds in the order they were requested.
     seeds: Tuple[int, ...]
     #: Shards in canonical (ascending-seed) order — the merge order.
@@ -264,38 +263,6 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def run_campaign_sweep(
-    seeds: Union[int, Sequence[int]],
-    jobs: int = 1,
-    spec: Optional[CampaignSpec] = None,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-    with_metrics: bool = False,
-    progress: Optional[Callable[[ShardResult, bool], None]] = None,
-) -> SweepResult:
-    """Run one campaign replicate per seed, in parallel, and merge.
-
-    .. deprecated:: 1.1
-       Use :func:`repro.api.sweep` (or
-       :meth:`repro.api.ExperimentConfig.sweep`) instead; this shim
-       forwards every argument to the same executor and will be removed
-       in 2.0.
-    """
-    warnings.warn(
-        "run_campaign_sweep() is deprecated; use repro.api.sweep(...) "
-        "(or repro.api.ExperimentConfig(...).sweep(...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _execute_sweep(
-        seeds,
-        jobs=jobs,
-        spec=spec,
-        checkpoint_dir=checkpoint_dir,
-        with_metrics=with_metrics,
-        progress=progress,
-    )
-
-
 class _SweepTelemetryContext:
     """Journal + monitor + watchdog wiring for one monitored sweep."""
 
@@ -304,7 +271,7 @@ class _SweepTelemetryContext:
         telemetry: SweepTelemetry,
         fingerprint: str,
         resolved: Sequence[int],
-        spec: CampaignSpec,
+        spec: ExperimentConfig,
     ) -> None:
         self.telemetry = telemetry
         self.path = Path(telemetry.journal)
@@ -372,7 +339,7 @@ class _SweepTelemetryContext:
 
 
 def _run_stratum(
-    spec: CampaignSpec,
+    spec: ExperimentConfig,
     stratum_seeds: Sequence[int],
     jobs: int,
     with_metrics: bool,
@@ -454,7 +421,7 @@ def _run_stratum(
 def _sweep_pass(
     seeds: Union[int, Sequence[int]],
     jobs: int,
-    spec: CampaignSpec,
+    spec: ExperimentConfig,
     checkpoint_dir: Optional[Union[str, Path]],
     with_metrics: bool,
     progress: Optional[Callable[[ShardResult, bool], None]],
@@ -467,10 +434,10 @@ def _sweep_pass(
     """One full sweep execution: nominal stratum plus optional boosted."""
     resolved = resolve_seeds(seeds, spec.seed)
     boost_list: Tuple[int, ...] = ()
-    boosted_spec: Optional[CampaignSpec] = None
+    boosted_spec: Optional[ExperimentConfig] = None
     if boost_seeds:
         boost_list = shard_seeds(spec.seed, boost_seeds, stratum=1)
-        boosted_spec = spec.with_boost(rare_boost)
+        boosted_spec = replace(spec, rare_boost=rare_boost)
     fingerprint = sweep_fingerprint(spec, with_metrics)
 
     ctx: Optional[_SweepTelemetryContext] = None
@@ -565,7 +532,7 @@ def _ci_converged(pooled: Dict[str, PooledStat], target: float) -> bool:
 def _execute_sweep(
     seeds: Union[int, Sequence[int]],
     jobs: int = 1,
-    spec: Optional[CampaignSpec] = None,
+    spec: Optional[ExperimentConfig] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     with_metrics: bool = False,
     progress: Optional[Callable[[ShardResult, bool], None]] = None,
@@ -578,7 +545,7 @@ def _execute_sweep(
     max_seeds: int = 64,
     store: Union[None, str, Path] = None,
 ) -> SweepResult:
-    """The sweep executor behind :mod:`repro.api` and the shim.
+    """The sweep executor behind :meth:`~repro.core.campaign.ExperimentConfig.sweep`.
 
     ``seeds`` is either a count (shard seeds are then derived from
     ``spec.seed``) or an explicit seed sequence.  ``jobs`` caps the
@@ -615,7 +582,11 @@ def _execute_sweep(
     sweep — including any ``target_ci`` growth — has settled.
     """
     if spec is None:
-        spec = CampaignSpec()
+        spec = ExperimentConfig()
+    if store is not None and not isinstance(store, (str, Path)):
+        raise ValueError(
+            f"store must be a path to a SQLite failure store, got {store!r}"
+        )
     if spec.rare_boost != 1.0:
         raise ValueError(
             "sweep spec must be nominal (rare_boost=1); pass the sweep's "
@@ -695,4 +666,4 @@ def _execute_sweep(
         count = grown
 
 
-__all__ = ["SweepResult", "SweepStalledError", "run_campaign_sweep"]
+__all__ = ["SweepResult", "SweepStalledError"]

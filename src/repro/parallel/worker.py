@@ -7,8 +7,9 @@ of that wire: it reads one JSON *task* from stdin, runs the shard, and
 writes one JSON *reply* to stdout.  Nothing else touches stdout, so the
 reply is machine-parseable even when the simulation logs to stderr.
 
-The task carries the campaign spec as plain JSON
-(:func:`spec_to_payload` / :func:`spec_from_payload`): node profiles
+The task carries the campaign config as plain JSON
+(:meth:`~repro.core.campaign.ExperimentConfig.to_payload` /
+:meth:`~repro.core.campaign.ExperimentConfig.from_payload`): node profiles
 travel by *name* and are resolved against the receiving interpreter's
 registry, so both ends must run the same repro version — which the
 sweep fingerprint embedded in every checkpoint/cache entry enforces
@@ -19,62 +20,13 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Dict
 
-from repro.core.campaign import CampaignSpec
-from repro.recovery.masking import MaskingPolicy
-from repro.testbed.nodes import profile_by_name
+from repro.core.campaign import ExperimentConfig
 
 from .shard import run_shard
 
 #: Version of the stdin/stdout wire format.
 TASK_VERSION = 1
-
-
-def spec_to_payload(spec: CampaignSpec) -> Dict[str, object]:
-    """A campaign spec as plain JSON-able data (wire format)."""
-    return {
-        "duration": spec.duration,
-        "seed": spec.seed,
-        "masking": {
-            "bind_wait": spec.masking.bind_wait,
-            "retry": spec.masking.retry,
-            "sdp_before_pan": spec.masking.sdp_before_pan,
-        },
-        "workloads": list(spec.workloads),
-        "profiles": [profile.name for profile in spec.profiles],
-        "hardware_replacement": spec.hardware_replacement,
-        "fidelity": spec.fidelity,
-        "rare_boost": spec.rare_boost,
-    }
-
-
-def spec_from_payload(payload: Dict[str, object]) -> CampaignSpec:
-    """Rebuild a spec from :func:`spec_to_payload` data.
-
-    Raises ``KeyError`` for a profile name the receiving interpreter
-    does not know — the clear failure mode for a version-skewed remote.
-    """
-    masking = payload.get("masking", {})
-    if not isinstance(masking, dict):
-        raise ValueError("spec payload field 'masking' must be an object")
-    return CampaignSpec(
-        duration=float(payload["duration"]),  # type: ignore[arg-type]
-        seed=int(payload["seed"]),  # type: ignore[call-overload]
-        masking=MaskingPolicy(
-            bind_wait=bool(masking.get("bind_wait", False)),
-            retry=bool(masking.get("retry", False)),
-            sdp_before_pan=bool(masking.get("sdp_before_pan", False)),
-        ),
-        workloads=tuple(str(w) for w in payload["workloads"]),  # type: ignore[union-attr]
-        profiles=tuple(
-            profile_by_name(str(name))
-            for name in payload["profiles"]  # type: ignore[union-attr]
-        ),
-        hardware_replacement=bool(payload.get("hardware_replacement", True)),
-        fidelity=str(payload.get("fidelity", "bit")),
-        rare_boost=float(payload.get("rare_boost", 1.0)),  # type: ignore[arg-type]
-    )
 
 
 def main() -> int:
@@ -91,7 +43,7 @@ def main() -> int:
         )
         return 2
     try:
-        spec = spec_from_payload(task["spec"])
+        spec = ExperimentConfig.from_payload(task["spec"])
         shard = run_shard(spec, with_metrics=bool(task.get("with_metrics", False)))
     except Exception as error:  # noqa: BLE001 - the wire carries one verdict
         print(f"worker: {type(error).__name__}: {error}", file=sys.stderr)
@@ -109,4 +61,4 @@ if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
     sys.exit(main())
 
 
-__all__ = ["TASK_VERSION", "main", "spec_from_payload", "spec_to_payload"]
+__all__ = ["TASK_VERSION", "main"]

@@ -18,7 +18,7 @@ of the campaign seed — numpy ``Generator(PCG64)`` streams for bulk
 draws (:meth:`repro.sim.rng.RandomStreams.numpy_stream`) and buffered
 scalar draws for failure materialisation — consumed in a fixed
 single-threaded order.  A batch campaign is therefore a pure function
-of its :class:`CampaignSpec`, making sweeps merge-stable at any
+of its :class:`~repro.core.campaign.ExperimentConfig`, making sweeps merge-stable at any
 ``--jobs``.
 
 What batch mode approximates (documented contract, gated at 4 sigma by
@@ -98,7 +98,7 @@ from repro.workload import traffic
 from repro.workload.bluetest import STACK_CHOICE, CycleStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (campaign imports us lazily)
-    from repro.core.campaign import CampaignResult, CampaignSpec
+    from repro.core.campaign import CampaignResult, ExperimentConfig
 
 #: Cycles pre-drawn per vectorised refill of one PANU's parameter chunk.
 _CHUNK = 2048
@@ -1273,14 +1273,14 @@ class _PanuBatch:
 
 
 def execute_batch_campaign(
-    spec: "CampaignSpec",
+    config: "ExperimentConfig",
     observability: Optional[Any] = None,
     on_progress: Optional[Callable[[Any], None]] = None,
     progress_interval: Optional[float] = None,
 ) -> "CampaignResult":
     """Run one campaign replicate in batch fidelity.
 
-    Mirrors ``_execute_campaign`` for ``fidelity="batch"``: same spec,
+    Mirrors ``_execute_campaign`` for ``fidelity="batch"``: same config,
     same repository/result shape, vectorised execution.  Per-packet
     observability (metrics/tracing/profiling) needs the event engine,
     so passing a bundle is rejected — run ``fidelity="bit"`` for that.
@@ -1293,27 +1293,25 @@ def execute_batch_campaign(
             "(per-packet metrics/tracing need the bit-accurate engine); "
             "drop the bundle or run fidelity='bit'"
         )
-    duration = float(spec.duration)
-    if duration <= 0:
-        raise ValueError("campaign duration must be positive")
-    streams = RandomStreams(spec.seed)
+    duration = config.duration
+    streams = RandomStreams(config.seed)
     repository = CentralRepository()
     clock = _BatchClock()
     if on_progress is not None and progress_interval:
         on_progress(clock)
     testbeds: Dict[str, Any] = {}
     events_processed = 0
-    failure_costs = _expected_failure_costs(spec.masking)
+    failure_costs = _expected_failure_costs(config.masking)
     with _gc_paused():
-        for name in spec.workloads:
+        for name in config.workloads:
             if name not in ("random", "realistic"):
                 raise ValueError(f"unknown workload: {name!r}")
             scoped = streams.fork(f"testbed/{name}")
             injector = FaultInjector(
-                scoped.stream("injector"), tuning=spec.injector_tuning()
+                scoped.stream("injector"), tuning=config.injector_tuning()
             )
-            nap_profile = next(p for p in spec.profiles if p.is_nap)
-            panu_profiles = [p for p in spec.profiles if not p.is_nap]
+            nap_profile = next(p for p in config.profiles if p.is_nap)
+            panu_profiles = [p for p in config.profiles if not p.is_nap]
             nap_node = node_id(name, nap_profile.name)
             nap_sink = _NodeSink(nap_node, nap_profile.vendor)
             panus = [
@@ -1325,9 +1323,9 @@ def execute_batch_campaign(
                     nap_sink,
                     injector,
                     scoped,
-                    spec.masking,
+                    config.masking,
                     duration,
-                    spec.hardware_replacement,
+                    config.hardware_replacement,
                 )
                 for profile in panu_profiles
             ]
@@ -1369,8 +1367,8 @@ def execute_batch_campaign(
         on_progress(clock)
     return CampaignResult(
         duration=duration,
-        seed=spec.seed,
-        masking=spec.masking,
+        seed=config.seed,
+        masking=config.masking,
         repository=repository,
         testbeds=testbeds,
         sim=Simulator(),

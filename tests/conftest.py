@@ -26,10 +26,8 @@ HOURS = 3600.0
 def pytest_configure(config):
     """Assert warning-free collection: importing the tree is silent.
 
-    Every internal caller is migrated off the 1.x deprecation shims, so
-    importing the whole package under ``error::DeprecationWarning`` must
-    not raise.  Tests that exercise the shims on purpose use
-    ``pytest.warns``, which overrides the session filters.
+    Importing the whole package under ``error::DeprecationWarning`` must
+    not raise: no module may lean on a deprecated interface.
     """
     import importlib
 

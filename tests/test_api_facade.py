@@ -1,11 +1,14 @@
 """Tests for the unified experiment facade (:mod:`repro.api`).
 
-Pins the redesign's contract: the facade is the one executor, the three
-legacy entry points (``run_campaign``, ``CampaignSpec.run``,
-``run_campaign_sweep``) are deprecation shims that forward to it with
-byte-identical results, and the config surface is keyword-only.
+Pins the contract: :class:`ExperimentConfig` is the one frozen,
+keyword-only campaign-config type, the facade is the one executor, and
+the config's wire identity (sweep fingerprints, worker task payloads)
+is byte-stable, so checkpoints, cache entries and remote workers keep
+agreeing on what a shard computes.
 """
 
+import dataclasses
+import json
 import warnings
 
 import pytest
@@ -13,9 +16,12 @@ import pytest
 import repro
 from repro import api
 from repro.api import ExperimentConfig
-from repro.core.campaign import CampaignSpec, run_campaign
-from repro.parallel import run_campaign_sweep
+from repro.core.campaign import DEFAULT_DURATION
+from repro.parallel.checkpoint import sweep_fingerprint
+from repro.parallel.shard import PAYLOAD_VERSION
+from repro.parallel.worker import TASK_VERSION
 from repro.recovery.masking import MaskingPolicy
+from repro.testbed.nodes import ALL_PROFILES
 
 HOURS = 3600.0
 DURATION = 1 * HOURS
@@ -39,12 +45,33 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(duration=-1.0)
 
-    def test_defaults_mirror_campaign_spec(self):
+    def test_defaults(self):
         config = ExperimentConfig()
-        spec = CampaignSpec()
-        assert config.spec() == spec
+        assert config.duration == DEFAULT_DURATION
+        assert config.seed == 0
+        assert config.masking == MaskingPolicy.all_off()
+        assert config.workloads == ("random", "realistic")
+        assert config.profiles == ALL_PROFILES
+        assert config.hardware_replacement is True
+        assert config.fidelity == "bit"
+        assert config.rare_boost == 1.0
+        assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+            "duration", "seed", "masking", "workloads", "profiles",
+            "hardware_replacement", "fidelity", "rare_boost",
+        ]
 
-    def test_spec_round_trip(self):
+    def test_validation_and_normalisation(self):
+        with pytest.raises(ValueError, match="rare_boost"):
+            ExperimentConfig(rare_boost=0.5)
+        config = ExperimentConfig(
+            duration=60, seed="3", masking=None, workloads=["random"]
+        )
+        assert config.duration == 60.0 and isinstance(config.duration, float)
+        assert config.seed == 3
+        assert config.masking == MaskingPolicy.all_off()
+        assert config.workloads == ("random",)
+
+    def test_payload_round_trip(self):
         config = ExperimentConfig(
             duration=DURATION,
             seed=SEED,
@@ -52,19 +79,24 @@ class TestExperimentConfig:
             workloads=("random",),
             hardware_replacement=False,
         )
-        assert ExperimentConfig.from_spec(config.spec()) == config
+        wire = json.loads(json.dumps(config.to_payload()))
+        assert ExperimentConfig.from_payload(wire) == config
 
     def test_replace_returns_modified_copy(self):
         config = ExperimentConfig(duration=DURATION, seed=SEED)
-        other = config.replace(seed=SEED + 1)
+        other = dataclasses.replace(config, seed=SEED + 1)
         assert other.seed == SEED + 1
         assert other.duration == config.duration
         assert config.seed == SEED
+        with pytest.raises(ValueError):
+            dataclasses.replace(config, duration=0.0)
 
     def test_slots_prevent_ad_hoc_attributes(self):
         config = ExperimentConfig()
         with pytest.raises(AttributeError):
             config.typo_field = 1
+        with pytest.raises(AttributeError):
+            config.seed = 1
 
     def test_repr_names_every_field(self):
         text = repr(ExperimentConfig(duration=DURATION, seed=SEED))
@@ -92,7 +124,7 @@ class TestFacadeExecution:
 
     def test_sweep_routes_campaign_keywords(self):
         result = api.sweep(2, jobs=1, duration=DURATION, seed=SEED)
-        assert result.spec == CampaignSpec(duration=DURATION, seed=SEED)
+        assert result.spec == ExperimentConfig(duration=DURATION, seed=SEED)
         assert len(result.shards) == 2
 
     def test_facade_emits_no_deprecation_warnings(self):
@@ -103,31 +135,68 @@ class TestFacadeExecution:
             ExperimentConfig(duration=DURATION, seed=SEED).run()
 
 
-class TestDeprecationShims:
-    def test_run_campaign_warns_and_matches_facade(self, facade_result):
-        with pytest.warns(DeprecationWarning, match="repro.api.run"):
-            legacy = run_campaign(duration=DURATION, seed=SEED)
-        assert (
-            legacy.repository.to_payload()
-            == facade_result.repository.to_payload()
-        )
+class TestWireIdentity:
+    """Fingerprints and worker payloads, pinned to their 1.x values.
 
-    def test_campaign_spec_run_warns_and_matches_facade(self, facade_result):
-        spec = CampaignSpec(duration=DURATION, seed=SEED)
-        with pytest.warns(DeprecationWarning, match="ExperimentConfig"):
-            legacy = spec.run()
-        assert (
-            legacy.repository.to_payload()
-            == facade_result.repository.to_payload()
-        )
+    A change here silently invalidates every sweep checkpoint and shard
+    cache entry on disk and breaks remote workers of the other version.
+    """
 
-    def test_run_campaign_sweep_warns_and_matches_facade(self):
-        spec = CampaignSpec(duration=DURATION, seed=SEED)
-        with pytest.warns(DeprecationWarning, match="repro.api.sweep"):
-            legacy = run_campaign_sweep(2, jobs=1, spec=spec)
-        facade = ExperimentConfig.from_spec(spec).sweep(2, jobs=1)
-        assert legacy.render() == facade.render()
+    CASES = [
+        (
+            {},
+            False,
+            "8457762eb00f919f6bd40ad5d82083abb11d86a233db4fe3aff56e93ef694c3e",
+        ),
+        (
+            {"fidelity": "batch", "duration": 86400.0},
+            False,
+            "15e2dc4e2621ec1e4e10abd4dcfcb6609dfdcedaa51fb94e9dab99c299a07a3e",
+        ),
+        (
+            {"fidelity": "batch", "rare_boost": 4.0},
+            True,
+            "b26fa30479db53bf0b7d353c3087bd8722584616fab246194d70bfdca92717cd",
+        ),
+        (
+            {"masking": MaskingPolicy.all_on(), "workloads": ("random",)},
+            False,
+            "50269f81d139ae4380ce1fb480ad80fa86d729f0c9c6c8bc75ec5cb6e95def71",
+        ),
+    ]
 
-    def test_top_level_export_is_the_shim(self):
-        with pytest.warns(DeprecationWarning):
-            repro.run_campaign(duration=DURATION, seed=SEED)
+    PROFILES = '["Giallo", "Verde", "Miseno", "Azzurro", "Win", "Ipaq H3870", "Zaurus SL-5600"]'
+    OFF = '{"bind_wait": false, "retry": false, "sdp_before_pan": false}'
+    ON = '{"bind_wait": true, "retry": true, "sdp_before_pan": true}'
+    PAYLOADS = [
+        f'{{"duration": 172800.0, "seed": 7, "masking": {OFF}, '
+        f'"workloads": ["random", "realistic"], "profiles": {PROFILES}, '
+        f'"hardware_replacement": true, "fidelity": "bit", "rare_boost": 1.0}}',
+        f'{{"duration": 86400.0, "seed": 7, "masking": {OFF}, '
+        f'"workloads": ["random", "realistic"], "profiles": {PROFILES}, '
+        f'"hardware_replacement": true, "fidelity": "batch", "rare_boost": 1.0}}',
+        f'{{"duration": 172800.0, "seed": 7, "masking": {OFF}, '
+        f'"workloads": ["random", "realistic"], "profiles": {PROFILES}, '
+        f'"hardware_replacement": true, "fidelity": "batch", "rare_boost": 4.0}}',
+        f'{{"duration": 172800.0, "seed": 7, "masking": {ON}, '
+        f'"workloads": ["random"], "profiles": {PROFILES}, '
+        f'"hardware_replacement": true, "fidelity": "bit", "rare_boost": 1.0}}',
+    ]
+
+    @pytest.mark.parametrize("fields,with_metrics,digest", CASES)
+    def test_sweep_fingerprint(self, fields, with_metrics, digest):
+        config = ExperimentConfig(**fields)
+        assert sweep_fingerprint(config, with_metrics) == digest
+        # The seed is not part of the identity.
+        assert sweep_fingerprint(
+            dataclasses.replace(config, seed=99), with_metrics
+        ) == digest
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_worker_payload_at_seed_7(self, index):
+        config = ExperimentConfig(**self.CASES[index][0], seed=7)
+        assert json.dumps(config.to_payload()) == self.PAYLOADS[index]
+
+    def test_wire_versions_unchanged(self):
+        assert TASK_VERSION == 1
+        assert PAYLOAD_VERSION == 3

@@ -9,6 +9,8 @@ entry points are importable from the top level.
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 
 import repro
@@ -101,7 +103,6 @@ class TestExports:
 
     def test_top_level_api(self):
         for name in (
-            "run_campaign",
             "build_relationship_table",
             "build_sira_table",
             "build_dependability_report",
@@ -114,3 +115,10 @@ class TestExports:
 
     def test_version_string(self):
         assert repro.__version__.count(".") == 2
+        # Regex, not tomllib: the package supports Python 3.9/3.10.
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        text = "\n" + pyproject.read_text(encoding="utf-8")
+        project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+        match = re.search(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE)
+        assert match is not None, "pyproject.toml [project] has no version"
+        assert repro.__version__ == match.group(1)

@@ -24,8 +24,10 @@ import sys
 
 import pytest
 
+from dataclasses import replace
+
+from repro import api
 from repro.api import ExperimentConfig
-from repro.core.campaign import CampaignSpec
 from repro.obs.campaign import SweepMonitor
 from repro.obs.journal import (
     CANONICAL_EVENTS,
@@ -49,21 +51,17 @@ from repro.parallel import (
 )
 from repro.parallel.cache import atomic_write_json, payload_digest, shard_key
 from repro.parallel.seeds import shard_seed
-from repro.parallel.worker import (
-    TASK_VERSION,
-    spec_from_payload,
-    spec_to_payload,
-)
+from repro.parallel.worker import TASK_VERSION
 import repro.parallel.sweep as sweep_module
 
 HOURS = 3600.0
 
 #: Short but non-trivial replicate: produces dozens of failures per seed.
-SPEC = CampaignSpec(duration=1 * HOURS, seed=5)
+SPEC = ExperimentConfig(duration=1 * HOURS, seed=5)
 
 
 def run_sweep(seeds, jobs=1, spec=None, **kwargs):
-    config = ExperimentConfig.from_spec(spec) if spec is not None else ExperimentConfig()
+    config = spec if spec is not None else ExperimentConfig()
     return config.sweep(seeds, jobs=jobs, **kwargs)
 
 
@@ -102,8 +100,12 @@ class TestBackendResolution:
             resolve_backend(42)  # type: ignore[arg-type]
 
     def test_config_validates_backend_eagerly(self):
+        # Rejected before any shard runs; the backend is a sweep
+        # argument, never a config field.
         with pytest.raises(ValueError):
-            ExperimentConfig(backend="bogus")
+            api.sweep(1, backend="bogus")
+        with pytest.raises(TypeError):
+            ExperimentConfig(backend="serial")
 
 
 class TestBackendInvariance:
@@ -138,7 +140,7 @@ class TestBackendInvariance:
 
 class TestWorker:
     def test_spec_payload_roundtrip(self):
-        spec = CampaignSpec(
+        spec = ExperimentConfig(
             duration=2 * HOURS,
             seed=9,
             workloads=("random",),
@@ -146,14 +148,14 @@ class TestWorker:
             fidelity="batch",
             rare_boost=4.0,
         )
-        clone = spec_from_payload(json.loads(json.dumps(spec_to_payload(spec))))
+        clone = ExperimentConfig.from_payload(json.loads(json.dumps(spec.to_payload())))
         assert clone == spec
 
     def test_unknown_profile_raises(self):
-        payload = spec_to_payload(SPEC)
+        payload = SPEC.to_payload()
         payload["profiles"] = ["no-such-profile"]
         with pytest.raises(KeyError):
-            spec_from_payload(payload)
+            ExperimentConfig.from_payload(payload)
 
     def _run_worker(self, stdin: str) -> subprocess.CompletedProcess:
         import repro
@@ -172,11 +174,11 @@ class TestWorker:
         )
 
     def test_worker_runs_a_task(self):
-        spec = SPEC.with_seed(31)
+        spec = replace(SPEC, seed=31)
         task = json.dumps(
             {
                 "version": TASK_VERSION,
-                "spec": spec_to_payload(spec),
+                "spec": spec.to_payload(),
                 "with_metrics": False,
             }
         )
@@ -209,7 +211,7 @@ class TestShardCache:
 
     @pytest.fixture(scope="class")
     def shard(self):
-        return run_shard(SPEC.with_seed(shard_seed(SPEC.seed, 0)))
+        return run_shard(replace(SPEC, seed=shard_seed(SPEC.seed, 0)))
 
     def test_roundtrip_is_byte_identical(self, tmp_path, shard):
         cache = ShardCache(tmp_path)
@@ -300,7 +302,7 @@ class TestCacheInSweeps:
     def test_fingerprint_change_never_hits_old_entries(self, tmp_path):
         cache = tmp_path / "cache"
         run_sweep(2, spec=SPEC, backend="serial", cache_dir=cache)
-        other = CampaignSpec(duration=SPEC.duration / 2, seed=SPEC.seed)
+        other = ExperimentConfig(duration=SPEC.duration / 2, seed=SPEC.seed)
         result = run_sweep(2, spec=other, backend="serial", cache_dir=cache)
         assert result.cached == 0
 
@@ -416,10 +418,12 @@ class TestRareEventSampling:
         assert "Boosted stratum" not in plain.render()
 
     def test_nominal_spec_must_stay_nominal(self):
-        # The api facade cannot even express a boosted spec; the
-        # executor guards the direct path.
+        # A boosted config would tilt the nominal stratum; the sweep's
+        # own rare_boost argument is the only way to boost.
         with pytest.raises(ValueError):
-            sweep_module._execute_sweep(2, spec=SPEC.with_boost(4.0))
+            replace(SPEC, rare_boost=4.0).sweep(2)
+        with pytest.raises(ValueError):
+            sweep_module._execute_sweep(2, spec=replace(SPEC, rare_boost=4.0))
 
     def test_boost_argument_validation(self):
         with pytest.raises(ValueError):

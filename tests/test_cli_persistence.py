@@ -68,7 +68,7 @@ class TestCli:
     def test_campaign_command_dumps_and_prints(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main([
-            "campaign", "--hours", "2", "--seed", "3", "--out", str(out)
+            "run", "--hours", "2", "--seed", "3", "--out", str(out)
         ])
         assert code == 0
         assert (out / "test_records.jsonl").exists()
@@ -79,7 +79,7 @@ class TestCli:
 
     def test_analyze_command_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "run"
-        assert main(["campaign", "--hours", "2", "--seed", "4",
+        assert main(["run", "--hours", "2", "--seed", "4",
                      "--out", str(out)]) == 0
         capsys.readouterr()
         assert main(["analyze", str(out)]) == 0
@@ -93,7 +93,7 @@ class TestCli:
     def test_masking_flag(self, tmp_path, capsys):
         out = tmp_path / "masked"
         code = main([
-            "campaign", "--hours", "3", "--seed", "5", "--masking",
+            "run", "--hours", "3", "--seed", "5", "--masking",
             "--out", str(out)
         ])
         assert code == 0

@@ -17,7 +17,6 @@ import os
 import pytest
 
 from repro.api import ExperimentConfig
-from repro.core.campaign import CampaignSpec
 from repro.obs.campaign import (
     COMPLETED,
     RUNNING,
@@ -56,12 +55,11 @@ import repro.parallel.sweep as sweep_module
 HOURS = 3600.0
 
 #: Short but non-trivial replicate (mirrors tests/test_parallel.py).
-SPEC = CampaignSpec(duration=1 * HOURS, seed=5)
+SPEC = ExperimentConfig(duration=1 * HOURS, seed=5)
 
 
 def run_sweep(seeds, jobs=1, spec=SPEC, **kwargs):
-    config = ExperimentConfig.from_spec(spec)
-    return config.sweep(seeds, jobs=jobs, **kwargs)
+    return spec.sweep(seeds, jobs=jobs, **kwargs)
 
 
 def ev(kind, ts=0.0, fp="fp-test", seed=None, wall=None, **fields):

@@ -383,21 +383,21 @@ class TestJournalDisabledPath:
         assert list(tmp_path.glob("*.jsonl")) == []
 
     def test_run_shard_without_telemetry_installs_no_progress_hook(self):
-        from repro.core.campaign import CampaignSpec
+        from repro.core.campaign import ExperimentConfig
         from repro.parallel import run_shard
 
         seen = []
-        original = CampaignSpec._execute
+        original = ExperimentConfig._execute
 
         def spy(self, *args, **kwargs):
             seen.append(kwargs)
             return original(self, *args, **kwargs)
 
-        CampaignSpec._execute = spy
+        ExperimentConfig._execute = spy
         try:
-            run_shard(CampaignSpec(duration=1800.0, seed=3))
+            run_shard(ExperimentConfig(duration=1800.0, seed=3))
         finally:
-            CampaignSpec._execute = original
+            ExperimentConfig._execute = original
         assert len(seen) == 1
         assert seen[0].get("on_progress") is None
         assert not seen[0].get("progress_interval")

@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.core.campaign import CampaignSpec
 from repro.core.summary import campaign_statistics
 from repro.api import ExperimentConfig
 from repro.parallel import (
@@ -33,13 +32,13 @@ import repro.parallel.sweep as sweep_module
 
 def run_sweep(seeds, jobs=1, spec=None, **kwargs):
     """Sweep through the repro.api facade (warning-free test shim)."""
-    config = ExperimentConfig.from_spec(spec) if spec is not None else ExperimentConfig()
+    config = spec if spec is not None else ExperimentConfig()
     return config.sweep(seeds, jobs=jobs, **kwargs)
 
 HOURS = 3600.0
 
 #: Short but non-trivial replicate: produces dozens of failures per seed.
-SPEC = CampaignSpec(duration=1 * HOURS, seed=5)
+SPEC = ExperimentConfig(duration=1 * HOURS, seed=5)
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +218,7 @@ class TestCheckpoint:
 
     def test_spec_change_invalidates_shards(self, tmp_path):
         run_sweep(2, jobs=1, spec=SPEC, checkpoint_dir=tmp_path)
-        other_spec = CampaignSpec(duration=SPEC.duration / 2, seed=SPEC.seed)
+        other_spec = ExperimentConfig(duration=SPEC.duration / 2, seed=SPEC.seed)
         result = run_sweep(
             2, jobs=1, spec=other_spec, checkpoint_dir=tmp_path
         )

@@ -8,6 +8,7 @@ same ingested stream.
 """
 
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +141,10 @@ class TestProtocol:
         assert reopened.system_level_count == 1
         reopened.close()
 
+    def test_flush_without_binding_rejected(self):
+        with pytest.raises(ValueError):
+            CentralRepository().flush()
+
 
 # -- backend identity (hypothesis) --------------------------------------------
 
@@ -211,6 +216,12 @@ class TestAnalysisByteIdentity:
 
 
 class TestSQLiteRoundTrip:
+    def test_commits_use_synchronous_full(self, tmp_path):
+        # flush() durability rests on SQLite's default synchronous=FULL.
+        with SQLiteStore(tmp_path / "d.store") as store:
+            (level,) = store._conn.execute("PRAGMA synchronous").fetchone()
+        assert level == 2
+
     def test_full_record_survives(self, tmp_path):
         record = TestLogRecord(
             time=12.5, node="random:Verde", testbed="random", workload="random",
@@ -269,47 +280,6 @@ class TestSQLiteRoundTrip:
 # -- deprecation shims --------------------------------------------------------
 
 
-class TestDeprecationShims:
-    def repo(self):
-        repo = CentralRepository()
-        repo.ingest_test([
-            TestLogRecord(time=1.0, node="random:a", testbed="random",
-                          workload="random", message="m", phase="p"),
-        ])
-        repo.ingest_system([
-            SystemLogRecord(2.0, "random:b", "hcid", "error", "x"),
-        ])
-        return repo
-
-    def test_test_records_shim_warns_and_matches(self):
-        repo = self.repo()
-        with pytest.warns(DeprecationWarning, match="iter_records"):
-            legacy = repo.test_records()
-        assert legacy == list(repo.iter_records(kind="test"))
-
-    def test_system_records_shim_warns_and_matches(self):
-        repo = self.repo()
-        with pytest.warns(DeprecationWarning, match="iter_records"):
-            legacy = repo.system_records()
-        assert legacy == list(repo.iter_records(kind="system"))
-
-    def test_dump_shim_warns_and_flushes(self, tmp_path):
-        repo = self.repo()
-        with pytest.warns(DeprecationWarning, match="flush"):
-            repo.dump(tmp_path / "legacy")
-        assert (tmp_path / "legacy" / "test_records.jsonl").exists()
-
-    def test_load_shim_warns_and_opens(self, tmp_path):
-        self.repo().flush(tmp_path)
-        with pytest.warns(DeprecationWarning, match="CentralRepository.open"):
-            loaded = CentralRepository.load(tmp_path)
-        assert loaded.total_items == 2
-
-    def test_flush_without_binding_rejected(self):
-        with pytest.raises(ValueError):
-            CentralRepository().flush()
-
-
 # -- spill threading through api and sweep ------------------------------------
 
 
@@ -340,13 +310,17 @@ class TestStoreThreading:
             )
 
     def test_store_is_not_part_of_the_spec(self, tmp_path):
-        with_store = api.ExperimentConfig(store=tmp_path / "s.store")
-        without = api.ExperimentConfig()
-        assert with_store.spec() == without.spec()
+        # Where records land cannot change a result byte: the store is
+        # an argument of the verbs, never a config field.
+        assert "store" not in {f.name for f in fields(api.ExperimentConfig)}
+        with pytest.raises(TypeError):
+            api.ExperimentConfig(store=tmp_path / "s.store")
 
     def test_non_path_store_rejected(self):
         with pytest.raises(ValueError, match="store"):
-            api.ExperimentConfig(store=42)
+            api.run(store=42)
+        with pytest.raises(ValueError, match="store"):
+            api.sweep(1, store=42)
 
 
 # -- the query CLI ------------------------------------------------------------
