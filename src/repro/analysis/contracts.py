@@ -122,16 +122,6 @@ DEFAULT_CONTRACTS: Tuple[ContractSpec, ...] = (
         consumer="repro.parallel.cache.ShardCache.get",
     ),
     ContractSpec(
-        name="store-test-row",
-        producer="repro.collection.store._test_row",
-        consumer="repro.collection.store._test_record",
-    ),
-    ContractSpec(
-        name="store-system-row",
-        producer="repro.collection.store._system_row",
-        consumer="repro.collection.store._system_record",
-    ),
-    ContractSpec(
         name="store-meta",
         producer="repro.collection.store._meta_document",
         consumer="repro.collection.store._check_meta",

@@ -272,8 +272,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"Merged Prometheus metrics written to {args.metrics_out}")
     print()
     print(text)
+    # reused/cached count both strata, so the shard total does too.
+    shards = len(result.shards) + len(result.boosted_shards)
     print(
-        f"\n{len(result.shards)} shard(s) ({result.reused} reused, "
+        f"\n{shards} shard(s) ({result.reused} reused, "
         f"{result.cached} from cache) on backend '{result.backend}' in "
         f"{result.wall_time:.1f} s; sweep table, shard checkpoints and "
         f"merged repository written to {out}/"

@@ -20,13 +20,20 @@ strings (node, facility, severity, phase, testbed, workload) are
 interned so equality checks inside the analysis pipeline reduce to
 pointer comparisons, and ``TestLogRecord.recovery`` is stored as a
 tuple (accepting any sequence at construction).
+
+Each record class's ordered field list is its row schema
+(:class:`RowSchema`), from which every record codec derives: the plain
+data of shard payloads and the JSONL repository, and the SQLite rows of
+:mod:`repro.collection.store`.  No other module spells out the fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, asdict
+import json
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from sys import intern
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import get_logger
 
@@ -56,23 +63,25 @@ def _add_slots(cls):
     return new_cls
 
 
-def _known_fields(cls, data: Dict[str, Any]) -> Dict[str, Any]:
-    """Drop (and debug-log) keys a record schema does not know.
+class _Record:
+    """Codec methods shared by the record classes, backed by their schema."""
 
-    Repositories dumped by newer versions of the package may carry extra
-    per-record fields; loading should tolerate them rather than crash.
-    """
-    known = {f.name for f in fields(cls)}
-    unknown = [key for key in data if key not in known]
-    if unknown:
-        log.debug("%s: ignoring unknown fields %s", cls.__name__, unknown)
-        return {key: value for key, value in data.items() if key in known}
-    return data
+    __slots__ = ()
+    _schema: "RowSchema"
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The record as plain JSON-able data, keys in field order."""
+        return self._schema.to_dict(self)
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> Any:
+        """Rebuild a record from :meth:`to_dict` data (unknown keys ignored)."""
+        return cls._schema.from_dict(data)
 
 
 @_add_slots
 @dataclass(frozen=True)
-class SystemLogRecord:
+class SystemLogRecord(_Record):
     """One line of a host's system log."""
 
     time: float  # simulated seconds since campaign start
@@ -88,30 +97,20 @@ class SystemLogRecord:
         object.__setattr__(self, "facility", intern(self.facility))
         object.__setattr__(self, "severity", intern(self.severity))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SystemLogRecord":
-        return cls(**_known_fields(cls, data))
-
 
 @_add_slots
 @dataclass(frozen=True)
-class RecoveryAttempt:
+class RecoveryAttempt(_Record):
     """One software-implemented recovery action (SIRA) attempt."""
 
     action: str  # SIRA name, e.g. "bt_stack_reset"
     succeeded: bool
     duration: float  # seconds the attempt took
 
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
 
 @_add_slots
 @dataclass(frozen=True)
-class TestLogRecord:
+class TestLogRecord(_Record):
     """One user-level failure report from the BlueTest workload.
 
     ``recovery`` accepts any sequence of :class:`RecoveryAttempt` and is
@@ -156,24 +155,101 @@ class TestLogRecord:
         """Total time spent in recovery attempts for this failure."""
         return sum(a.duration for a in self.recovery)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """The record as plain data, with ``recovery`` as a list.
 
-        The serialised shape is list-typed (as it has always been) even
-        though the in-memory field is a tuple, so dumped repositories
-        stay stable across versions.
-        """
-        data = asdict(self)
-        data["recovery"] = [attempt.to_dict() for attempt in self.recovery]
+# -- the row schema ------------------------------------------------------------
+
+_ATTEMPTS = "Tuple[RecoveryAttempt, ...]"
+
+
+def _attempts_to_data(attempts: Sequence[RecoveryAttempt]) -> List[Dict[str, Any]]:
+    # List-typed in plain data (as it has always been) though the field
+    # is a tuple, so dumped repositories stay stable across versions.
+    return [attempt.to_dict() for attempt in attempts]
+
+
+def _attempts_from_data(data: Sequence[Dict[str, Any]]) -> Tuple[RecoveryAttempt, ...]:
+    return tuple(RecoveryAttempt.from_dict(attempt) for attempt in data)
+
+
+#: Field annotation -> (SQLite column declaration, row encode, decode);
+#: ``None`` stores the value as is.  Any other annotation fails at
+#: import, so no field can skip a codec.
+_SQL_CODECS = {
+    "float": ("REAL NOT NULL", None, None),
+    "int": ("INTEGER NOT NULL", None, None),
+    "str": ("TEXT NOT NULL", None, None),
+    "Optional[str]": ("TEXT", None, None),
+    "bool": ("INTEGER NOT NULL", int, bool),
+    _ATTEMPTS: (
+        "TEXT NOT NULL",
+        lambda attempts: json.dumps(_attempts_to_data(attempts), separators=(",", ":")),
+        lambda text: _attempts_from_data(json.loads(text)),
+    ),
+}
+
+
+class RowSchema:
+    """One record class's ordered fields and the codecs derived from them.
+
+    Plain data (``to_dict``/``from_dict``) keeps field order; the SQLite
+    row (``to_row``/``from_row``) follows :attr:`columns`.  Decoding goes
+    through the constructor, so ``__post_init__`` normalisation runs.
+    """
+
+    def __init__(self, cls: type) -> None:
+        self.cls = cls
+        types = [(f.name, f.type) for f in fields(cls)]
+        self.names = tuple(name for name, _ in types)
+        #: ``CREATE TABLE`` column definitions, in field order.
+        self.columns = tuple(f"{name} {_SQL_CODECS[kind][0]}" for name, kind in types)
+        self._known = frozenset(self.names)
+        self._values = attrgetter(*self.names)
+        self._attempts = [name for name, kind in types if kind == _ATTEMPTS]
+        codecs = [(i, *_SQL_CODECS[kind][1:]) for i, (_, kind) in enumerate(types)]
+        self._row = [codec for codec in codecs if codec[1] is not None]
+
+    def to_dict(self, record: Any) -> Dict[str, Any]:
+        """``record`` as plain JSON-able data."""
+        data = dict(zip(self.names, self._values(record)))
+        for name in self._attempts:
+            data[name] = _attempts_to_data(data[name])
         return data
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TestLogRecord":
-        payload = _known_fields(cls, dict(data))
-        payload["recovery"] = tuple(
-            RecoveryAttempt(**a) for a in payload.get("recovery", ())
-        )
-        return cls(**payload)
+    def from_dict(self, data: Dict[str, Any]) -> Any:
+        """Rebuild a record from plain data, ignoring unknown keys.
+
+        Repositories dumped by newer versions may carry extra fields.
+        """
+        known = {key: value for key, value in data.items() if key in self._known}
+        if len(known) != len(data):
+            unknown = [key for key in data if key not in self._known]
+            log.debug("%s: ignoring unknown fields %s", self.cls.__name__, unknown)
+        for name in self._attempts:
+            if name in known:
+                known[name] = _attempts_from_data(known[name])
+        return self.cls(**known)
+
+    def to_row(self, record: Any) -> List[Any]:
+        """``record`` as SQLite column values."""
+        row = list(self._values(record))
+        for index, encode, _ in self._row:
+            row[index] = encode(row[index])
+        return row
+
+    def from_row(self, row: Sequence[Any]) -> Any:
+        """Rebuild a record from its SQLite column values."""
+        values = list(row)
+        for index, _, decode in self._row:
+            values[index] = decode(values[index])
+        return self.cls(*values)
 
 
-__all__ = ["SystemLogRecord", "TestLogRecord", "RecoveryAttempt"]
+SYSTEM_SCHEMA = SystemLogRecord._schema = RowSchema(SystemLogRecord)
+TEST_SCHEMA = TestLogRecord._schema = RowSchema(TestLogRecord)
+RecoveryAttempt._schema = RowSchema(RecoveryAttempt)
+
+
+__all__ = [
+    "SystemLogRecord", "TestLogRecord", "RecoveryAttempt",
+    "RowSchema", "SYSTEM_SCHEMA", "TEST_SCHEMA",
+]

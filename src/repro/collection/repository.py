@@ -25,6 +25,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Union
 from .records import SystemLogRecord, TestLogRecord
 from .store import atomic_writer, testbed_of
 
+#: The JSONL repository: one file per payload stream, one entry per line.
+_FILES = {"test": "test_records.jsonl", "system": "system_records.jsonl"}
+
 
 class CentralRepository:
     """Accumulates failure data items from every node of every testbed."""
@@ -202,12 +205,10 @@ class CentralRepository:
             )
         self._ensure_sorted()
         self._path.mkdir(parents=True, exist_ok=True)
-        with atomic_writer(self._path / "test_records.jsonl") as handle:
-            for record in self._test:
-                handle.write(json.dumps(record.to_dict()) + "\n")
-        with atomic_writer(self._path / "system_records.jsonl") as handle:
-            for entry in self._system:
-                handle.write(json.dumps(entry.to_dict()) + "\n")
+        for kind, records in (("test", self._test), ("system", self._system)):
+            with atomic_writer(self._path / _FILES[kind]) as handle:
+                for record in records:
+                    handle.write(json.dumps(record.to_dict()) + "\n")
 
     @classmethod
     def open(cls, directory: Union[str, Path]) -> "CentralRepository":
@@ -219,20 +220,13 @@ class CentralRepository:
         so later :meth:`flush` calls persist back to it.
         """
         path = Path(directory)
-        repo = cls()
+        payload = {}
+        for kind, name in _FILES.items():
+            if (path / name).exists():
+                with open(path / name, "r", encoding="utf-8") as handle:
+                    payload[kind] = [json.loads(line) for line in handle if line.strip()]
+        repo = cls.from_payload(payload)
         repo._path = path
-        test_path = path / "test_records.jsonl"
-        system_path = path / "system_records.jsonl"
-        if test_path.exists():
-            with open(test_path, "r", encoding="utf-8") as handle:
-                repo.ingest_test(
-                    [TestLogRecord.from_dict(json.loads(line)) for line in handle if line.strip()]
-                )
-        if system_path.exists():
-            with open(system_path, "r", encoding="utf-8") as handle:
-                repo.ingest_system(
-                    [SystemLogRecord.from_dict(json.loads(line)) for line in handle if line.strip()]
-                )
         return repo
 
     def close(self) -> None:

@@ -18,9 +18,10 @@ SQLite backend from ``ORDER BY time, id`` over monotonically assigned
 rowids.  The shared streaming analysis code in :mod:`repro.core`
 therefore produces byte-identical tables over either backend.
 
-The on-disk format carries a :data:`STORE_VERSION` stamp validated on
-open (drift is registered with :mod:`repro.analysis.contracts` so the
-deep lint catches writer/reader divergence), and all file publication
+The tables, inserts and row codecs derive from the record row schema
+(:class:`repro.collection.records.RowSchema`), so writer and reader
+cannot disagree on a column.  The on-disk format carries a
+:data:`STORE_VERSION` stamp validated on open, and all file publication
 goes through the same atomic-rename + fsync discipline as the shard
 cache (:func:`atomic_writer` is the shared primitive).
 """
@@ -40,15 +41,17 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Tuple,
     Union,
     runtime_checkable,
 )
 
-from .records import RecoveryAttempt, SystemLogRecord, TestLogRecord
+from .records import SYSTEM_SCHEMA, TEST_SCHEMA, SystemLogRecord, TestLogRecord
 
 #: Version stamp of the SQLite store layout.  Bump whenever the table
-#: schema or the row wire format below changes shape; stores written by
-#: a different version refuse to open (:class:`StoreVersionError`).
+#: layout changes shape, which a record field added, renamed or retyped
+#: does too (``tests/test_store.py`` pins the version 1 layout); stores
+#: written by a different version refuse to open (:class:`StoreVersionError`).
 STORE_VERSION = 1
 
 #: Human-readable layout tag stored alongside the version stamp.
@@ -165,81 +168,11 @@ class FailureStore(Protocol):
     def total_items(self) -> int: ...
 
 
-# -- row wire format ---------------------------------------------------------
+# -- store metadata ------------------------------------------------------------
 #
-# Module-level producer/consumer pairs so repro.analysis.contracts can
-# extract the written and read column sets from the AST (WIRE001) and
-# check the version stamp handshake (WIRE003).
-
-
-def _test_row(record: TestLogRecord) -> Dict[str, object]:
-    """Columnar row for one user-level report (writer side)."""
-    return {
-        "time": record.time,
-        "node": record.node,
-        "testbed": record.testbed,
-        "workload": record.workload,
-        "message": record.message,
-        "phase": record.phase,
-        "packet_type": record.packet_type,
-        "packets_sent": record.packets_sent,
-        "packets_expected": record.packets_expected,
-        "scan_flag": int(record.scan_flag),
-        "sdp_flag": int(record.sdp_flag),
-        "distance": record.distance,
-        "cycle_on_connection": record.cycle_on_connection,
-        "idle_before_cycle": record.idle_before_cycle,
-        "masked": int(record.masked),
-        "recovery": json.dumps(
-            [attempt.to_dict() for attempt in record.recovery], separators=(",", ":")
-        ),
-    }
-
-
-def _test_record(row: sqlite3.Row) -> TestLogRecord:
-    """Rebuild a user-level report from its columnar row (reader side)."""
-    return TestLogRecord(
-        time=row["time"],
-        node=row["node"],
-        testbed=row["testbed"],
-        workload=row["workload"],
-        message=row["message"],
-        phase=row["phase"],
-        packet_type=row["packet_type"],
-        packets_sent=row["packets_sent"],
-        packets_expected=row["packets_expected"],
-        scan_flag=bool(row["scan_flag"]),
-        sdp_flag=bool(row["sdp_flag"]),
-        distance=row["distance"],
-        cycle_on_connection=row["cycle_on_connection"],
-        idle_before_cycle=row["idle_before_cycle"],
-        masked=bool(row["masked"]),
-        recovery=tuple(
-            RecoveryAttempt(**attempt) for attempt in json.loads(row["recovery"])
-        ),
-    )
-
-
-def _system_row(record: SystemLogRecord) -> Dict[str, object]:
-    """Columnar row for one system-level entry (writer side)."""
-    return {
-        "time": record.time,
-        "node": record.node,
-        "facility": record.facility,
-        "severity": record.severity,
-        "message": record.message,
-    }
-
-
-def _system_record(row: sqlite3.Row) -> SystemLogRecord:
-    """Rebuild a system-level entry from its columnar row (reader side)."""
-    return SystemLogRecord(
-        time=row["time"],
-        node=row["node"],
-        facility=row["facility"],
-        severity=row["severity"],
-        message=row["message"],
-    )
+# Module-level producer/consumer pair so repro.analysis.contracts can
+# extract the written and read keys from the AST (WIRE001) and check
+# the version stamp handshake (WIRE003).
 
 
 def _meta_document() -> Dict[str, object]:
@@ -263,36 +196,17 @@ def _check_meta(meta: Dict[str, object]) -> None:
 
 # -- the SQLite backend -------------------------------------------------------
 
-_SCHEMA = """
+# Each table is the rowid ``id`` plus its record schema's columns.  System
+# records carry only their node name, so their ``testbed`` column is a
+# store-local index column, derived at ingestion and kept behind ``node``.
+_SYSTEM_COLUMNS = (
+    SYSTEM_SCHEMA.columns[:2] + ("testbed TEXT NOT NULL",) + SYSTEM_SCHEMA.columns[2:]
+)
+
+_SCHEMA = f"""
 CREATE TABLE store_meta (doc TEXT NOT NULL);
-CREATE TABLE test_records (
-    id                  INTEGER PRIMARY KEY,
-    time                REAL NOT NULL,
-    node                TEXT NOT NULL,
-    testbed             TEXT NOT NULL,
-    workload            TEXT NOT NULL,
-    message             TEXT NOT NULL,
-    phase               TEXT NOT NULL,
-    packet_type         TEXT,
-    packets_sent        INTEGER NOT NULL,
-    packets_expected    INTEGER NOT NULL,
-    scan_flag           INTEGER NOT NULL,
-    sdp_flag            INTEGER NOT NULL,
-    distance            REAL NOT NULL,
-    cycle_on_connection INTEGER NOT NULL,
-    idle_before_cycle   REAL NOT NULL,
-    masked              INTEGER NOT NULL,
-    recovery            TEXT NOT NULL
-);
-CREATE TABLE system_records (
-    id       INTEGER PRIMARY KEY,
-    time     REAL NOT NULL,
-    node     TEXT NOT NULL,
-    testbed  TEXT NOT NULL,
-    facility TEXT NOT NULL,
-    severity TEXT NOT NULL,
-    message  TEXT NOT NULL
-);
+CREATE TABLE test_records (id INTEGER PRIMARY KEY, {", ".join(TEST_SCHEMA.columns)});
+CREATE TABLE system_records (id INTEGER PRIMARY KEY, {", ".join(_SYSTEM_COLUMNS)});
 CREATE INDEX test_by_time    ON test_records (time);
 CREATE INDEX test_by_node    ON test_records (node, time);
 CREATE INDEX test_by_testbed ON test_records (testbed, time);
@@ -301,29 +215,29 @@ CREATE INDEX system_by_node    ON system_records (node, time);
 CREATE INDEX system_by_testbed ON system_records (testbed, time);
 """
 
-_INSERT_TEST = (
-    "INSERT INTO test_records (time, node, testbed, workload, message, phase,"
-    " packet_type, packets_sent, packets_expected, scan_flag, sdp_flag, distance,"
-    " cycle_on_connection, idle_before_cycle, masked, recovery)"
-    " VALUES (:time, :node, :testbed, :workload, :message, :phase,"
-    " :packet_type, :packets_sent, :packets_expected, :scan_flag, :sdp_flag, :distance,"
-    " :cycle_on_connection, :idle_before_cycle, :masked, :recovery)"
-)
 
-_INSERT_SYSTEM = (
-    "INSERT INTO system_records (time, node, testbed, facility, severity, message)"
-    " VALUES (:time, :node, :testbed, :facility, :severity, :message)"
-)
+def _insert(table: str, names: Tuple[str, ...]) -> str:
+    return f"INSERT INTO {table} ({', '.join(names)}) VALUES ({', '.join('?' * len(names))})"
+
+
+_INSERT_TEST = _insert("test_records", TEST_SCHEMA.names)
+_INSERT_SYSTEM = _insert("system_records", SYSTEM_SCHEMA.names + ("testbed",))
+
+#: Record kind -> (table, schema) for queries.
+_TABLES = {
+    "test": ("test_records", TEST_SCHEMA),
+    "system": ("system_records", SYSTEM_SCHEMA),
+}
 
 
 class SQLiteStore:
     """Append-only, columnar, on-disk :class:`FailureStore` backend.
 
     One table per record stream with typed columns, covering indexes
-    on ``(time)``, ``(node, time)`` and ``(testbed, time)``, batched
-    ``executemany`` ingestion, and streaming ``fetchmany`` query
-    cursors — so a 1000-seed sweep's record stream can be ingested and
-    analysed shard-by-shard without ever materialising it in RAM.
+    on ``(time)``, ``(node, time)`` and ``(testbed, time)``, streaming
+    ``executemany`` ingestion and streaming query cursors — so a
+    1000-seed sweep's record stream can be ingested and analysed
+    shard-by-shard without ever materialising it in RAM.
 
     Opening an existing file validates the :data:`STORE_VERSION` stamp
     (:class:`StoreVersionError` on skew, :class:`StoreError` when the
@@ -331,18 +245,12 @@ class SQLiteStore:
     schema.  Ingestion into an existing store appends.
     """
 
-    #: Rows per ``executemany`` flush and per ``fetchmany`` page: large
-    #: enough to amortise the SQLite call overhead, small enough that a
-    #: batch of row dicts stays far below any campaign's record count.
-    BATCH = 2048
-
     def __init__(self, path: PathLike = ":memory:") -> None:
         self.path: Optional[Path] = None if str(path) == ":memory:" else Path(path)
         existing = self.path is not None and self.path.exists() and self.path.stat().st_size > 0
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(str(path))
-        self._conn.row_factory = sqlite3.Row
         if existing:
             self._validate()
         else:
@@ -371,7 +279,7 @@ class SQLiteStore:
         if row is None:
             raise StoreError(f"{self.path} has no store_meta row")
         try:
-            meta = json.loads(row["doc"])
+            meta = json.loads(row[0])
         except ValueError as error:
             raise StoreError(f"{self.path} has a corrupt store_meta document") from error
         _check_meta(meta)
@@ -398,33 +306,19 @@ class SQLiteStore:
     # -- ingestion ---------------------------------------------------------
 
     def ingest_test(self, records: Iterable[TestLogRecord]) -> int:
-        """Append user-level reports in batches; returns the number ingested."""
-        return self._ingest(records, _INSERT_TEST, _test_row, derive_testbed=False)
+        """Append user-level reports; returns the number ingested."""
+        return self._ingest(_INSERT_TEST, map(TEST_SCHEMA.to_row, records))
 
     def ingest_system(self, records: Iterable[SystemLogRecord]) -> int:
-        """Append system-level entries in batches; returns the number ingested."""
-        return self._ingest(records, _INSERT_SYSTEM, _system_row, derive_testbed=True)
+        """Append system-level entries; returns the number ingested."""
+        rows = ([*SYSTEM_SCHEMA.to_row(r), testbed_of(r.node)] for r in records)
+        return self._ingest(_INSERT_SYSTEM, rows)
 
-    def _ingest(self, records, statement: str, to_row, derive_testbed: bool) -> int:
-        cursor = self._conn.cursor()
-        rows: List[Dict[str, object]] = []
-        count = 0
-        for record in records:
-            row = to_row(record)
-            if derive_testbed:
-                # Derived index column, not part of the record wire
-                # format: system records carry only their node name.
-                row["testbed"] = testbed_of(record.node)
-            rows.append(row)
-            if len(rows) >= self.BATCH:
-                cursor.executemany(statement, rows)
-                count += len(rows)
-                rows = []
-        if rows:
-            cursor.executemany(statement, rows)
-            count += len(rows)
+    def _ingest(self, statement: str, rows: Iterator[List[object]]) -> int:
+        # executemany streams the row iterator; rowcount sums its inserts.
+        cursor = self._conn.executemany(statement, rows)
         self._conn.commit()
-        return count
+        return cursor.rowcount
 
     def ingest_store(self, source: "FailureStore") -> int:
         """Append every record of another store; returns the number ingested."""
@@ -443,13 +337,10 @@ class SQLiteStore:
         start: Optional[float] = None,
         end: Optional[float] = None,
     ) -> Iterator:
-        """Stream records time-ordered (ingestion-stable ties) via fetchmany pages."""
-        if kind == "test":
-            table, to_record = "test_records", _test_record
-        elif kind == "system":
-            table, to_record = "system_records", _system_record
-        else:
+        """Stream records time-ordered (ingestion-stable ties) off a cursor."""
+        if kind not in _TABLES:
             raise ValueError(f"unknown record kind {kind!r} (expected 'test' or 'system')")
+        table, schema = _TABLES[kind]
         clauses = []
         params: Dict[str, object] = {}
         if node is not None:
@@ -465,14 +356,8 @@ class SQLiteStore:
             clauses.append("time <= :end")
             params["end"] = end
         where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
-        sql = f"SELECT * FROM {table}{where} ORDER BY time, id"
-        cursor = self._conn.execute(sql, params)
-        while True:
-            page = cursor.fetchmany(self.BATCH)
-            if not page:
-                return
-            for row in page:
-                yield to_record(row)
+        sql = f"SELECT {', '.join(schema.names)} FROM {table}{where} ORDER BY time, id"
+        yield from map(schema.from_row, self._conn.execute(sql, params))
 
     def nodes(self) -> List[str]:
         """All node names present in either record stream, sorted.
@@ -484,11 +369,11 @@ class SQLiteStore:
         rows = self._conn.execute(
             "SELECT node FROM test_records UNION SELECT node FROM system_records ORDER BY node"
         ).fetchall()
-        return [row["node"] for row in rows]
+        return [node for (node,) in rows]
 
     def _count(self, table: str) -> int:
-        row = self._conn.execute(f"SELECT COUNT(*) AS n FROM {table}").fetchone()
-        return int(row["n"])
+        (count,) = self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()
+        return int(count)
 
     @property
     def user_level_count(self) -> int:

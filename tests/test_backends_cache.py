@@ -582,6 +582,20 @@ class TestCacheCli:
             tmp_path / "run2" / "sweep.txt"
         ).read_bytes()
 
+    def test_boosted_sweep_summary_counts_both_strata(self, tmp_path, capsys):
+        from repro.cli import main
+
+        cache = tmp_path / "cache"
+        argv = [
+            "sweep", "--hours", "1", "--seeds", "4", "--seed", "77",
+            "--fidelity", "batch", "--rare-boost", "4", "--boost-seeds", "2",
+            "--backend", "serial", "--cache-dir", str(cache),
+        ]
+        assert main(argv + ["--out", str(tmp_path / "cold")]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
+        assert "\n6 shard(s) (0 reused, 6 from cache)" in capsys.readouterr().out
+
     def test_cache_info_and_prune(self, tmp_path, capsys):
         from repro.cli import main
 

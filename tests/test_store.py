@@ -8,6 +8,7 @@ same ingested stream.
 """
 
 import json
+from contextlib import contextmanager
 from dataclasses import fields
 
 import pytest
@@ -104,6 +105,27 @@ def both_backends(tests, systems):
     store.ingest_test(tests)
     store.ingest_system(systems)
     return memory, store
+
+
+@contextmanager
+def round_trip(codec, tmp_path, tests, systems):
+    """The records written through one record codec and read back."""
+    if codec == "sqlite":
+        path = tmp_path / "r.store"
+        with SQLiteStore(path) as store:
+            store.ingest_test(tests)
+            store.ingest_system(systems)
+        with SQLiteStore.open(path) as store:
+            yield store
+        return
+    repo = CentralRepository()
+    repo.ingest_test(tests)
+    repo.ingest_system(systems)
+    if codec == "payload":
+        yield CentralRepository.from_payload(json.loads(json.dumps(repo.to_payload())))
+    else:
+        repo.flush(tmp_path / "repository")
+        yield CentralRepository.open(tmp_path / "repository")
 
 
 # -- shared campaign fixtures -------------------------------------------------
@@ -222,7 +244,8 @@ class TestSQLiteRoundTrip:
             (level,) = store._conn.execute("PRAGMA synchronous").fetchone()
         assert level == 2
 
-    def test_full_record_survives(self, tmp_path):
+    @pytest.mark.parametrize("codec", ["payload", "jsonl", "sqlite"])
+    def test_full_record_survives(self, codec, tmp_path):
         record = TestLogRecord(
             time=12.5, node="random:Verde", testbed="random", workload="random",
             message="bluetest: sdp search terminated abnormally", phase="Search",
@@ -234,15 +257,89 @@ class TestSQLiteRoundTrip:
                 RecoveryAttempt("bt_stack_reset", True, 10.0),
             ),
         )
-        path = tmp_path / "r.store"
-        with SQLiteStore(path) as store:
-            store.ingest_test([record])
-        with SQLiteStore.open(path) as store:
-            (loaded,) = store.iter_records(kind="test")
-        assert loaded == record
-        assert loaded.packet_type is None
-        assert loaded.recovery == record.recovery
-        assert loaded.recovered_by == "bt_stack_reset"
+        entry = SystemLogRecord(3.0, "realistic:Miseno", "kernel", "error",
+                                "usb 1-1: device not accepting address 2")
+        with round_trip(codec, tmp_path, [record], [entry]) as loaded:
+            (test,) = loaded.iter_records(kind="test")
+            (system,) = loaded.iter_records(kind="system")
+        assert test == record
+        assert test.packet_type is None
+        assert test.recovery == record.recovery
+        assert test.recovered_by == "bt_stack_reset"
+        assert system == entry
+
+    def test_from_dict_ignores_unknown_keys(self):
+        record = SystemLogRecord(1.0, "random:a", "hcid", "error", "hci: timeout")
+        data = dict(record.to_dict(), written_by_a_newer_version=True)
+        assert SystemLogRecord.from_dict(data) == record
+
+    def test_layout_is_pinned_to_store_version_1(self, tmp_path):
+        # The tables derive from the record row schema: a field added,
+        # renamed or retyped fails here until STORE_VERSION is bumped.
+        import sqlite3
+
+        path = tmp_path / "layout.store"
+        SQLiteStore(path).close()
+        with sqlite3.connect(path) as raw:
+            def columns(table):
+                return [
+                    (name, kind, bool(notnull), bool(pk))
+                    for _, name, kind, notnull, _, pk
+                    in raw.execute(f"PRAGMA table_info({table})")
+                ]
+
+            def indexes(table):
+                return {
+                    name: (bool(unique), [
+                        column for _, _, column
+                        in raw.execute(f"PRAGMA index_info({name})")
+                    ])
+                    for _, name, unique, _, _
+                    in raw.execute(f"PRAGMA index_list({table})")
+                }
+
+            assert STORE_VERSION == 1
+            assert columns("test_records") == [
+                ("id", "INTEGER", False, True),
+                ("time", "REAL", True, False),
+                ("node", "TEXT", True, False),
+                ("testbed", "TEXT", True, False),
+                ("workload", "TEXT", True, False),
+                ("message", "TEXT", True, False),
+                ("phase", "TEXT", True, False),
+                ("packet_type", "TEXT", False, False),
+                ("packets_sent", "INTEGER", True, False),
+                ("packets_expected", "INTEGER", True, False),
+                ("scan_flag", "INTEGER", True, False),
+                ("sdp_flag", "INTEGER", True, False),
+                ("distance", "REAL", True, False),
+                ("cycle_on_connection", "INTEGER", True, False),
+                ("idle_before_cycle", "REAL", True, False),
+                ("masked", "INTEGER", True, False),
+                ("recovery", "TEXT", True, False),
+            ]
+            assert columns("system_records") == [
+                ("id", "INTEGER", False, True),
+                ("time", "REAL", True, False),
+                ("node", "TEXT", True, False),
+                ("testbed", "TEXT", True, False),
+                ("facility", "TEXT", True, False),
+                ("severity", "TEXT", True, False),
+                ("message", "TEXT", True, False),
+            ]
+            assert columns("store_meta") == [("doc", "TEXT", True, False)]
+            assert indexes("test_records") == {
+                "test_by_time": (False, ["time"]),
+                "test_by_node": (False, ["node", "time"]),
+                "test_by_testbed": (False, ["testbed", "time"]),
+            }
+            assert indexes("system_records") == {
+                "system_by_time": (False, ["time"]),
+                "system_by_node": (False, ["node", "time"]),
+                "system_by_testbed": (False, ["testbed", "time"]),
+            }
+            (doc,) = raw.execute("SELECT doc FROM store_meta").fetchone()
+        assert json.loads(doc) == {"version": 1, "layout": "columnar-jsonl-recovery"}
 
     def test_ingestion_is_incremental(self, tmp_path):
         path = tmp_path / "grow.store"
@@ -275,9 +372,6 @@ class TestSQLiteRoundTrip:
         path.write_bytes(b"this is not a sqlite database at all\x00\x01")
         with pytest.raises(StoreError):
             SQLiteStore.open(path)
-
-
-# -- deprecation shims --------------------------------------------------------
 
 
 # -- spill threading through api and sweep ------------------------------------
